@@ -21,14 +21,15 @@ verifies it when ``check_monotonic=True``).
 Run:  python examples/plug_and_play_custom.py
 """
 
+import heapq
 from dataclasses import dataclass
+from itertools import count
 
 from repro import Session
 from repro.core import MAX, ParamSpec, PIEProgram
 from repro.engineapi.registry import register_program
 from repro.engineapi.report import format_report
 from repro.graph.generators import random_weighted_digraph
-from repro.utils.heap import IndexedHeap
 
 
 @dataclass(frozen=True)
@@ -39,23 +40,29 @@ class WidestPathQuery:
 def widest_paths(graph, seeds, known=None):
     """Sequential bottleneck-capacity search (fattest-first Dijkstra)."""
     known = known or {}
-    heap = IndexedHeap()
+    # Lazy-deletion max-heap via negation: (-capacity, seq, vertex).
+    # ``best`` holds the widest capacity offered so far; only a wider
+    # offer pushes, so a later, narrower offer never downgrades a queued
+    # wider one. ``seq`` breaks ties without comparing vertex ids.
+    best = {}
+    heap = []
+    seq = count()
     for v, cap in seeds.items():
         if v in graph and cap > known.get(v, 0.0):
-            heap.push(v, -cap)  # max-heap via negation
+            best[v] = cap
+            heapq.heappush(heap, (-cap, next(seq), v))
     updates = {}
     while heap:
-        v, neg = heap.pop()
+        neg, _, v = heapq.heappop(heap)
         cap = -neg
-        if cap <= updates.get(v, known.get(v, 0.0)):
-            continue
+        if cap < best[v]:
+            continue  # stale entry
         updates[v] = cap
         for edge in graph.out_edges(v):
             through = min(cap, edge.weight)
-            if through > updates.get(edge.dst, known.get(edge.dst, 0.0)):
-                # push_if_lower = improve-only: a later, narrower offer
-                # must not downgrade a queued wider one.
-                heap.push_if_lower(edge.dst, -through)
+            if through > best.get(edge.dst, known.get(edge.dst, 0.0)):
+                best[edge.dst] = through
+                heapq.heappush(heap, (-through, next(seq), edge.dst))
     return updates
 
 

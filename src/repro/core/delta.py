@@ -98,28 +98,48 @@ DeltaOp = Union[EdgeInsert, EdgeDelete, EdgeReweight]
 _KINDS = {"insert": EdgeInsert, "delete": EdgeDelete, "reweight": EdgeReweight}
 
 
+def _coerce_weight(value: object, item: object) -> float:
+    """``value`` as a non-negative float; ProgramError naming ``item``."""
+    try:
+        weight = float(value)
+    except (TypeError, ValueError):
+        raise ProgramError(
+            f"malformed delta op {item!r}: weight {value!r} is not a number"
+        ) from None
+    if not weight >= 0:  # also rejects NaN, which fails every comparison
+        raise ProgramError(
+            f"malformed delta op {item!r}: weight must be non-negative, "
+            f"got {value!r}"
+        )
+    return weight
+
+
 def _coerce_op(item: object) -> DeltaOp:
     """One delta op from an op instance or a tuple form.
 
     Accepted tuples: ``(src, dst[, weight[, label]])`` (an insertion,
     the historical ``apply_updates`` form) and the tagged
-    ``("insert"|"delete"|"reweight", src, dst, ...)``.
+    ``("insert"|"delete"|"reweight", src, dst, ...)``. Weights are
+    coerced with ``float``; short rows and non-numeric, NaN or negative
+    weights raise :class:`ProgramError`.
     """
     if isinstance(item, (EdgeInsert, EdgeDelete, EdgeReweight)):
         return item
     if isinstance(item, (tuple, list)) and item:
-        head, *rest = item
+        head = item[0]
         if isinstance(head, str) and head in _KINDS:
-            try:
-                return _KINDS[head](*rest)
-            except TypeError as exc:
-                raise ProgramError(f"malformed delta op {item!r}: {exc}")
-        src, dst, *extra = item
-        weight = (
-            float(extra[0]) if extra and extra[0] is not None else 1.0
-        )
-        label = extra[1] if len(extra) > 1 else None
-        return EdgeInsert(src=src, dst=dst, weight=weight, label=label)
+            kind, fields = head, list(item[1:])
+        else:
+            kind, fields = "insert", list(item)
+        if len(fields) > 2:
+            if fields[2] is not None or kind == "reweight":
+                fields[2] = _coerce_weight(fields[2], item)
+            elif kind == "insert":
+                fields[2] = 1.0
+        try:
+            return _KINDS[kind](*fields)
+        except TypeError as exc:
+            raise ProgramError(f"malformed delta op {item!r}: {exc}") from None
     raise ProgramError(
         f"cannot interpret {item!r} as a graph delta op; expected "
         "EdgeInsert/EdgeDelete/EdgeReweight or a tuple form"
@@ -153,13 +173,22 @@ class GraphDelta:
         label?], ...]``, ``"delete"``: ``[[src, dst], ...]``,
         ``"reweight"``: ``[[src, dst, weight], ...]``.
         """
+        if not isinstance(data, dict):
+            raise ProgramError(f"cannot interpret {data!r} as a graph delta")
         ops: list[DeltaOp] = []
-        for row in data.get("insert", []):
-            ops.append(_coerce_op(tuple(row)))
-        for row in data.get("delete", []):
-            ops.append(_coerce_op(("delete", *row)))
-        for row in data.get("reweight", []):
-            ops.append(_coerce_op(("reweight", *row)))
+        for kind in ("insert", "delete", "reweight"):
+            rows = data.get(kind, [])
+            if not isinstance(rows, (tuple, list)):
+                raise ProgramError(
+                    f"{kind!r} must be a list of rows, got {rows!r}"
+                )
+            for row in rows:
+                if not isinstance(row, (tuple, list)):
+                    raise ProgramError(
+                        f"malformed {kind} row {row!r}: "
+                        "expected [src, dst, ...]"
+                    )
+                ops.append(_coerce_op((kind, *row)))
         return cls(ops=tuple(ops))
 
     def __iter__(self) -> Iterator[DeltaOp]:

@@ -101,8 +101,11 @@ class Graph:
         Endpoints are created on demand. For an undirected graph the
         reverse edge is stored as well but counted once.
         """
-        if weight < 0:
-            raise GraphError(f"negative edge weight {weight} on {src}->{dst}")
+        if not weight >= 0:  # also rejects NaN, which fails every comparison
+            raise GraphError(
+                f"edge weight must be a non-negative number, got {weight} "
+                f"on {src}->{dst}"
+            )
         self.add_vertex(src)
         self.add_vertex(dst)
         fresh = self._store.set_arc(src, dst, weight)

@@ -70,6 +70,42 @@ def test_coerce_rejects_malformed(bad):
         GraphDelta.coerce(bad)
 
 
+@pytest.mark.parametrize(
+    "data",
+    [
+        {"insert": [[0, 1, "abc"]]},
+        {"insert": [[0]]},
+        {"insert": [[0, 1, float("nan")]]},
+        {"insert": [[0, 1, -1.0]]},
+        {"insert": [5]},
+        {"insert": 5},
+        {"delete": [[0]]},
+        {"delete": [[0, 1, "abc"]]},
+        {"reweight": [[0, 1]]},
+        {"reweight": [[0, 1, None]]},
+        {"reweight": [[0, 1, "abc"]]},
+        {"reweight": [[0, 1, -3]]},
+        {"reweight": [[0, 1, float("nan")]]},
+        [[0, 1]],
+    ],
+)
+def test_from_dict_rejects_bad_rows_and_weights(data):
+    # Caught at the ΔG boundary with a typed error, never a raw
+    # ValueError here or a failure later during routing.
+    with pytest.raises(ProgramError):
+        GraphDelta.from_dict(data)
+
+
+def test_from_dict_coerces_weights_to_float():
+    delta = GraphDelta.from_dict(
+        {"insert": [[0, 1, 2], [1, 2, None]], "reweight": [[3, 4, "7.5"]]}
+    )
+    assert delta.ops[0] == EdgeInsert(0, 1, 2.0)
+    assert type(delta.ops[0].weight) is float
+    assert delta.ops[1] == EdgeInsert(1, 2, 1.0)
+    assert delta.ops[2] == EdgeReweight(3, 4, 7.5)
+
+
 def test_from_dict_json_form():
     delta = GraphDelta.from_dict(
         {

@@ -57,6 +57,15 @@ def test_negative_weight_rejected():
         g.add_edge(1, 2, -1.0)
 
 
+def test_nan_weight_rejected():
+    # NaN fails every comparison, so a `weight < 0` guard let it through
+    # and Dijkstra then reported vertices behind it as unreachable.
+    g = Graph()
+    with pytest.raises(GraphError):
+        g.add_edge(0, 1, float("nan"))
+    assert g.num_edges == 0
+
+
 def test_directed_adjacency():
     g = Graph()
     g.add_edge(1, 2)
